@@ -24,6 +24,11 @@ cargo test -q --offline
 echo "== workspace tests =="
 cargo test -q --workspace --offline
 
+echo "== perfbench: the benchmark's own tests =="
+# The benchmark package is outside the workspace; its tests guard the
+# fingerprint pins and checks it judges runs with.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== consistency suite (amdb-consistency + core acceptance properties) =="
 cargo test -q --offline -p amdb-consistency
 cargo test -q --offline -p amdb-core --test consistency

@@ -352,6 +352,53 @@ mod tests {
         }
     }
 
+    /// The cost-only entry point the timed cluster charges through must
+    /// report exactly what full execution reports, statement by statement,
+    /// and leave the same data behind — on every engine role, both mixes and
+    /// two data sizes.
+    #[test]
+    fn cost_only_execution_matches_full_execution() {
+        use amdb_sql::BinlogFormat;
+        let roles = [
+            ForkRole::Master(BinlogFormat::Statement),
+            ForkRole::Master(BinlogFormat::Row),
+            ForkRole::Slave,
+        ];
+        for scale in [20, 100] {
+            let mut rng = Rng::new(5);
+            let (template, counters) = build_template(DataSize { scale }, &mut rng);
+            for mix in [MixConfig::RW_50_50, MixConfig::RW_80_20] {
+                for role in roles {
+                    let case = format!("scale {scale}, mix {}, {role:?}", mix.label());
+                    let mut g = OpGenerator::new(counters.clone(), rng.derive("ops"));
+                    let (mut full, mut cost) = (template.fork(role), template.fork(role));
+                    let (mut s_full, mut s_cost) = (Session::new(), Session::new());
+                    for i in 0..400 {
+                        s_full.now_micros = i * 1_000;
+                        s_cost.now_micros = i * 1_000;
+                        let op = g.generate(mix);
+                        for (sql, params) in &op.statements {
+                            let want = full.execute(&mut s_full, sql, params).unwrap();
+                            let got = cost.execute_for_cost(&mut s_cost, sql, params).unwrap();
+                            let at = format!("{case}, op {i} ({}): {sql}", op.name);
+                            assert_eq!(got.rows_examined, want.rows_examined, "{at}");
+                            assert_eq!(got.rows_affected, want.rows_affected, "{at}");
+                            assert_eq!(got.last_insert_id, want.last_insert_id, "{at}");
+                            assert!(got.rows.is_empty(), "{at}");
+                            // Every Cloudstone read takes the count-only
+                            // route, not the full-executor fallback.
+                            if let Some(select) = &cost.prepare(sql).unwrap().select {
+                                assert!(select.cost_exact(), "{at}");
+                            }
+                        }
+                    }
+                    assert_eq!(cost.fingerprint(), full.fingerprint(), "{case}");
+                    assert_eq!(cost.binlog().head(), full.binlog().head(), "{case}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn writes_grow_counters_and_tables() {
         let (mut g, mut engine) = generator();

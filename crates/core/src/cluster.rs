@@ -6,8 +6,9 @@
 //!
 //! Each emulated user loops: think → generate operation → acquire pooled
 //! connection → proxy routes (write→master, read→slave) → request travels
-//! the network → the target VM executes the operation's statements when its
-//! FIFO CPU reaches the job → response travels back → stats → next think.
+//! the network → the target VM executes the operation's statements (a read
+//! for its cost alone, see below) when its FIFO CPU reaches the job →
+//! response travels back → stats → next think.
 //!
 //! Master writes append binlog events; at the write's *commit* (job
 //! completion) new events ship to every slave over the network (FIFO per
@@ -15,12 +16,14 @@
 //! FIFO CPU that serves reads — the shared-resource contention that produces
 //! the paper's replication-delay surge.
 //!
-//! Statements execute *functionally* at CPU-service start: replica tables
-//! genuinely diverge until applies run, so staleness is measured from real
-//! heartbeat rows, not a model. (Timestamps are therefore stamped at service
-//! start rather than commit — a bounded error of one service time, identical
-//! in the idle baseline and thus cancelled by the paper's relative-delay
-//! metric.)
+//! Writes and applies execute *functionally* at CPU-service start: replica
+//! tables genuinely diverge until applies run, so staleness is measured from
+//! real heartbeat rows, not a model. (Timestamps are therefore stamped at
+//! service start rather than commit — a bounded error of one service time,
+//! identical in the idle baseline and thus cancelled by the paper's
+//! relative-delay metric.) A client read is executed for its cost alone
+//! ([`amdb_sql::Engine::execute_for_cost`]): nothing reads its rows, so the
+//! engine counts the rows it examines without building the result set.
 
 use crate::config::{BalancerKind, ClusterConfig};
 use crate::report::{ConsistencyReport, DelayReport, RunReport, SharedLogReport};
@@ -1604,8 +1607,9 @@ impl Cluster {
         }
     }
 
-    /// Execute an operation's statements functionally and return the total
+    /// Execute an operation's statements for their cost and return the total
     /// CPU demand in µs (statements + per-op commit + shipping for writes).
+    /// Writes take effect; reads only count the rows they examine.
     fn exec_client_op(&mut self, node_idx: usize, op: &Operation, now: SimTime) -> f64 {
         let node = &mut self.nodes[node_idx];
         node.session.now_micros = node.inst.clock.read(now).0;
@@ -1613,7 +1617,7 @@ impl Cluster {
         for (sql, params) in &op.statements {
             let res = node
                 .engine
-                .execute(&mut node.session, sql, params)
+                .execute_for_cost(&mut node.session, sql, params)
                 .unwrap_or_else(|e| panic!("op '{}' failed: {e}\nSQL: {sql}", op.name));
             demand_us += self.cost.statement_demand_us(&res, res.rows_affected > 0);
         }
@@ -1633,10 +1637,10 @@ impl Cluster {
         demand_us
     }
 
-    /// Begin functional service of a client-visible operation on `node_idx`:
-    /// telemetry/consistency service-start accounting, functional statement
-    /// execution, and CPU submission. Returns the completion time. Shared by
-    /// user-loop ops (`Job::ClientOp`) and front-injected ops
+    /// Begin service of a client-visible operation on `node_idx`:
+    /// telemetry/consistency service-start accounting, statement execution
+    /// ([`Self::exec_client_op`]), and CPU submission. Returns the completion
+    /// time. Shared by user-loop ops (`Job::ClientOp`) and front-injected ops
     /// (`Job::Injected`), which differ only in their completion events.
     fn start_client_service(
         &mut self,
@@ -1649,7 +1653,7 @@ impl Cluster {
         // Telemetry: a slave-served read observes everything the
         // slave has applied — close the first-read leg of any write
         // trace it newly covers (service start is where statements
-        // execute functionally).
+        // execute).
         if self.telemetry.is_some() {
             if let Some(s) = routed_slave {
                 let upto = self.relays[s].applied_upto().0;
@@ -1660,7 +1664,7 @@ impl Cluster {
         }
         // Consistency accounting: the *true* staleness a slave read
         // observes is fixed here, at service start, where statements
-        // execute functionally. Pure measurement — no events, no RNG.
+        // execute. Pure measurement — no events, no RNG.
         if self.consistency.is_some() && op.class == OpClass::Read {
             if let Some(s) = routed_slave {
                 let st_ms = self.true_staleness_ms(s, now);

@@ -57,7 +57,8 @@ mod tests {
             let op = gen.generate(mix);
             let mut demand = 0.0;
             for (sql, params) in &op.statements {
-                let res = master.execute(&mut session, sql, params).unwrap();
+                // The entry point the timed cluster charges through.
+                let res = master.execute_for_cost(&mut session, sql, params).unwrap();
                 demand += cost.statement_demand_us(&res, res.rows_affected > 0);
             }
             match op.class {

@@ -1,8 +1,12 @@
 //! CPU cost model: what executing a statement costs the owning VM.
 //!
-//! The simulation runs queries functionally (instantly, in host time) and
-//! separately charges the VM's FIFO CPU a *demand* so that queueing,
-//! saturation, and replication-apply backlogs emerge. The demand model is
+//! The simulation runs statements instantly in host time and separately
+//! charges the VM's FIFO CPU a *demand* so that queueing, saturation, and
+//! replication-apply backlogs emerge. Writes and applies run functionally;
+//! the timed cluster runs a client read only for its cost
+//! ([`Engine::execute_for_cost`](crate::Engine::execute_for_cost)), because
+//! the demand reads nothing but a statement's `rows_examined` and
+//! `rows_affected` — never its result rows. The demand model is
 //! deliberately simple — a per-statement overhead plus per-row-examined and
 //! per-row-written terms and a commit charge — with constants calibrated at
 //! the experiment level so that the paper's observed saturation points land

@@ -6,8 +6,9 @@ use crate::binlog::{Binlog, BinlogEvent, BinlogFormat, EventPayload, Lsn};
 use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::error::SqlError;
 use crate::exec::{
-    exec_delete, exec_insert, exec_select, exec_select_planned, exec_update, plan_select, Capture,
-    Catalog, QueryResult, RowChange, RowChangeKind, Undo, UndoEntry, WriteOutcome,
+    exec_delete, exec_insert, exec_select, exec_select_cost, exec_select_planned, exec_update,
+    plan_select, Capture, Catalog, QueryResult, RowChange, RowChangeKind, Undo, UndoEntry,
+    WriteOutcome,
 };
 use crate::expr::EvalCtx;
 use crate::parser::parse;
@@ -288,6 +289,44 @@ impl Engine {
     ) -> Result<QueryResult, SqlError> {
         let plan = self.prepare(sql)?;
         self.execute_plan(session, &plan, sql, params)
+    }
+
+    /// Execute one statement for its cost alone: the same effects, the same
+    /// `rows_examined`/`rows_affected`/`last_insert_id` and the same error
+    /// as [`Self::execute`], but a SELECT's result set is never built —
+    /// `rows` and `columns` come back empty. This is the entry point for
+    /// callers that charge a statement's work and never read its rows (the
+    /// timed cluster's client operations).
+    ///
+    /// Non-SELECTs run exactly as under [`Self::execute`]. A SELECT whose
+    /// plan is [`SelectPlan::cost_exact`](crate::exec::SelectPlan::cost_exact)
+    /// and whose parameters are all bound only counts the rows its join
+    /// examines ([`exec_select_cost`]); any other SELECT runs the full
+    /// executor and drops the rows.
+    pub fn execute_for_cost(
+        &mut self,
+        session: &mut Session,
+        sql: &str,
+        params: &[Value],
+    ) -> Result<QueryResult, SqlError> {
+        let plan = self.prepare(sql)?;
+        let Some(select) = &plan.select else {
+            return self.execute_plan(session, &plan, sql, params);
+        };
+        let rows_examined = if select.cost_exact() && params.len() >= plan.param_count {
+            let ctx = EvalCtx {
+                params,
+                now_micros: session.now_micros,
+            };
+            exec_select_cost(&self.catalog, select, &ctx)?
+        } else {
+            self.execute_plan(session, &plan, sql, params)?
+                .rows_examined
+        };
+        Ok(QueryResult {
+            rows_examined,
+            ..QueryResult::default()
+        })
     }
 
     /// Parse and plan `sql`, consulting the plan cache. Cache entries are

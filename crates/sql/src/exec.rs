@@ -219,6 +219,18 @@ enum Cands<'t> {
 }
 
 impl Cands<'_> {
+    /// Number of candidates, without touching a row: exactly the count
+    /// [`Cands::rows`] would yield.
+    fn len(&self, table: &Table) -> usize {
+        match self {
+            Cands::Empty => 0,
+            Cands::One(_) => 1,
+            Cands::Slice(s) => s.len(),
+            Cands::Owned(v) => v.len(),
+            Cands::Scan => table.row_count(),
+        }
+    }
+
     /// Iterate `(rid, row)` pairs against the table the candidates came from.
     fn rows<'t>(&self, table: &'t Table) -> CandsIter<'t, '_> {
         match self {
@@ -393,6 +405,9 @@ pub struct SelectPlan {
     limit: Option<u64>,
     offset: Option<u64>,
     deps: Vec<(String, u64)>,
+    /// True when every expression [`exec_select_cost`] skips cannot fail
+    /// once all parameters are bound (see [`cost_only_exact`]).
+    cost_exact: bool,
 }
 
 impl SelectPlan {
@@ -401,6 +416,78 @@ impl SelectPlan {
     pub fn deps(&self) -> &[(String, u64)] {
         &self.deps
     }
+
+    /// Whether [`exec_select_cost`] reports exactly what
+    /// [`exec_select_planned`] would — the same `rows_examined` and the
+    /// same error — provided every `?` is bound.
+    pub fn cost_exact(&self) -> bool {
+        self.cost_exact
+    }
+}
+
+/// Can evaluating `e` never fail, once every parameter is bound? Admits
+/// positional columns, literals and parameters, combined by comparisons,
+/// AND/OR/NOT, IS NULL and IN — none of which raises an error for any
+/// operand values. `agg` also admits `COUNT(*)` / `COUNT(x)`, which is only
+/// infallible where the executor folds aggregates rather than evaluating
+/// them as scalar functions.
+fn infallible(e: &Expr, agg: bool) -> bool {
+    match e {
+        Expr::Resolved { .. } | Expr::Literal(_) | Expr::Param(_) => true,
+        Expr::Binary(a, op, b) => {
+            matches!(
+                op,
+                BinOp::Eq
+                    | BinOp::NotEq
+                    | BinOp::Lt
+                    | BinOp::LtEq
+                    | BinOp::Gt
+                    | BinOp::GtEq
+                    | BinOp::And
+                    | BinOp::Or
+            ) && infallible(a, agg)
+                && infallible(b, agg)
+        }
+        Expr::Unary(UnOp::Not, inner) => infallible(inner, agg),
+        Expr::IsNull { expr, .. } => infallible(expr, agg),
+        Expr::InList { expr, list, .. } => {
+            infallible(expr, agg) && list.iter().all(|i| infallible(i, agg))
+        }
+        Expr::Func { name, args, star } => {
+            agg && name.eq_ignore_ascii_case("COUNT")
+                && (*star || matches!(args.as_slice(), [arg] if infallible(arg, false)))
+        }
+        _ => false,
+    }
+}
+
+/// The plan-time rule behind [`SelectPlan::cost_exact`]: the cost-only path
+/// skips the innermost source's ON check, the WHERE filter, the
+/// projection, GROUP BY keys, HAVING and the ORDER BY keys, so each must be
+/// [`infallible`]. Outer ON checks still run and need not be. ORDER BY keys
+/// are still named at this point: one that names an output column reads
+/// the projected value, any other must resolve to a unique table column.
+fn cost_only_exact(plan: &SelectPlan) -> bool {
+    let agg = plan.aggregate_mode;
+    let innermost_on = plan.sources.last().and_then(|s| s.on.as_ref());
+    innermost_on
+        .into_iter()
+        .chain(&plan.filter)
+        .chain(&plan.group_by)
+        .all(|e| infallible(e, false))
+        && plan.item_exprs.iter().all(|(e, _)| infallible(e, agg))
+        && plan.having.as_ref().is_none_or(|h| infallible(h, agg))
+        && plan.order_by.iter().all(|ok| match &ok.expr {
+            Expr::Column {
+                qualifier: None,
+                name,
+            } if plan.out_cols.iter().any(|c| c.eq_ignore_ascii_case(name)) => true,
+            key => {
+                let mut key = key.clone();
+                resolve_columns(&mut key, &plan.bindings);
+                infallible(&key, agg)
+            }
+        })
 }
 
 /// Rewrite every [`Expr::Column`] whose name resolves uniquely against the
@@ -585,7 +672,7 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
         resolve_columns(h, &bindings);
     }
 
-    Ok(SelectPlan {
+    let mut plan = SelectPlan {
         sources,
         bindings,
         filter,
@@ -600,7 +687,10 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
         limit: sel.limit,
         offset: sel.offset,
         deps,
-    })
+        cost_exact: false,
+    };
+    plan.cost_exact = cost_only_exact(&plan);
+    Ok(plan)
 }
 
 /// Execute a SELECT against the catalog (plan + execute in one step).
@@ -617,70 +707,86 @@ pub fn exec_select(
 /// (the group's first, used to evaluate non-aggregate expressions).
 type AggGroup<'t> = (Vec<AggAcc>, Vec<Option<&'t [Value]>>);
 
-/// Execute a previously planned SELECT against the catalog.
-pub fn exec_select_planned<'c>(
-    catalog: &'c Catalog,
-    plan: &SelectPlan,
-    ctx: &EvalCtx,
-) -> Result<QueryResult, SqlError> {
-    // Re-resolve the planned tables against the live catalog.
-    let mut tables: Vec<&'c Table> = Vec::with_capacity(plan.sources.len());
-    for s in &plan.sources {
-        tables.push(
+/// Re-resolve a plan's tables against the live catalog.
+fn plan_tables<'c>(catalog: &'c Catalog, plan: &SelectPlan) -> Result<Vec<&'c Table>, SqlError> {
+    plan.sources
+        .iter()
+        .map(|s| {
             catalog
                 .get(&s.table_key)
-                .ok_or_else(|| SqlError::UnknownTable(s.table_key.clone()))?,
-        );
+                .ok_or_else(|| SqlError::UnknownTable(s.table_key.clone()))
+        })
+        .collect()
+}
+
+/// Sink receiving each surviving scope row from the join driver.
+type RowSink<'s, 't> = dyn FnMut(&[Option<&'t [Value]>]) -> Result<(), SqlError> + 's;
+
+/// The nested-loop join driver over a plan's per-source candidate lists.
+/// Rows are borrowed straight out of storage; nothing is cloned until a
+/// sink decides it must keep something.
+struct Join<'a, 't> {
+    plan: &'a SelectPlan,
+    tables: &'a [&'t Table],
+    ctx: &'a EvalCtx<'a>,
+    /// Count the innermost source's candidates instead of visiting them —
+    /// the cost-only mode of [`exec_select_cost`]. The innermost ON check
+    /// and the WHERE filter are then never evaluated, and the sink never
+    /// called, so the plan must be [`SelectPlan::cost_exact`].
+    count_innermost: bool,
+    /// Rows fetched from storage so far, counted before the ON and WHERE
+    /// checks decide whether a row survives.
+    rows_examined: u64,
+}
+
+impl<'a, 't> Join<'a, 't> {
+    /// Feed each surviving scope row to `sink`.
+    fn drive(&mut self, sink: &mut RowSink<'_, 't>) -> Result<(), SqlError> {
+        if self.plan.sources.is_empty() {
+            // A FROM-less SELECT yields exactly one row over an empty scope;
+            // the padding entry is never read (there are no bindings).
+            return sink(&[None]);
+        }
+        let mut scope_rows: Vec<Option<&'t [Value]>> = vec![None; self.plan.sources.len()];
+        self.recurse(0, &mut scope_rows, sink)
     }
-    let bindings = &plan.bindings;
-    let out_cols = &plan.out_cols;
-    let item_exprs = &plan.item_exprs;
 
-    // Stream scope rows (with WHERE applied) into a per-mode sink. Rows are
-    // borrowed straight out of storage; nothing is cloned until a sink
-    // decides it must keep something.
-    let mut rows_examined: u64 = 0;
-
-    /// Sink receiving each surviving scope row from the join driver.
-    type RowSink<'s, 't> = dyn FnMut(&[Option<&'t [Value]>]) -> Result<(), SqlError> + 's;
-
-    // Nested-loop join over per-source candidate lists.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse<'t>(
-        sources: &[PlannedSource],
-        tables: &[&'t Table],
-        bindings: &[Binding],
+    fn recurse(
+        &mut self,
         idx: usize,
-        scope_rows: &mut Vec<Option<&'t [Value]>>,
-        ctx: &EvalCtx,
-        filter: Option<&Expr>,
-        rows_examined: &mut u64,
+        scope_rows: &mut [Option<&'t [Value]>],
         sink: &mut RowSink<'_, 't>,
     ) -> Result<(), SqlError> {
-        if idx == sources.len() {
-            if let Some(f) = filter {
+        let plan = self.plan;
+        let bindings = &plan.bindings;
+        if idx == plan.sources.len() {
+            if let Some(f) = &plan.filter {
                 let scope = Scope {
                     bindings,
                     rows: scope_rows,
                 };
-                if eval_truth(f, ctx, &scope)? != Truth::True {
+                if eval_truth(f, self.ctx, &scope)? != Truth::True {
                     return Ok(());
                 }
             }
             return sink(scope_rows);
         }
-        let src = &sources[idx];
-        let table = tables[idx];
+        let src = &plan.sources[idx];
+        let table = self.tables[idx];
         let cands = {
             let scope = Scope {
                 bindings,
                 rows: scope_rows,
             };
-            candidates(table, &src.path, ctx, &scope)?
+            candidates(table, &src.path, self.ctx, &scope)?
         };
+        if self.count_innermost && idx + 1 == plan.sources.len() {
+            self.rows_examined += cands.len(table) as u64;
+            return Ok(());
+        }
         let mut matched = false;
         for (_rid, row) in cands.rows(table) {
-            *rows_examined += 1;
+            self.rows_examined += 1;
             scope_rows[idx] = Some(row);
             // Re-check the ON predicate (the path may be a superset).
             if let Some(on) = &src.on {
@@ -688,68 +794,66 @@ pub fn exec_select_planned<'c>(
                     bindings,
                     rows: scope_rows,
                 };
-                if eval_truth(on, ctx, &scope)? != Truth::True {
+                if eval_truth(on, self.ctx, &scope)? != Truth::True {
                     scope_rows[idx] = None;
                     continue;
                 }
             }
             matched = true;
-            recurse(
-                sources,
-                tables,
-                bindings,
-                idx + 1,
-                scope_rows,
-                ctx,
-                filter,
-                rows_examined,
-                sink,
-            )?;
+            self.recurse(idx + 1, scope_rows, sink)?;
             scope_rows[idx] = None;
         }
         if !matched && src.kind == JoinKind::Left {
             scope_rows[idx] = None;
-            recurse(
-                sources,
-                tables,
-                bindings,
-                idx + 1,
-                scope_rows,
-                ctx,
-                filter,
-                rows_examined,
-                sink,
-            )?;
+            self.recurse(idx + 1, scope_rows, sink)?;
         }
         Ok(())
     }
+}
 
-    /// Drive the join, feeding each surviving scope row to `sink`.
-    fn drive<'t>(
-        plan: &SelectPlan,
-        tables: &[&'t Table],
-        ctx: &EvalCtx,
-        rows_examined: &mut u64,
-        sink: &mut RowSink<'_, 't>,
-    ) -> Result<(), SqlError> {
-        if plan.sources.is_empty() {
-            // A FROM-less SELECT yields exactly one row over an empty scope;
-            // the padding entry is never read (there are no bindings).
-            return sink(&[None]);
-        }
-        let mut scope_rows: Vec<Option<&'t [Value]>> = vec![None; plan.sources.len()];
-        recurse(
-            &plan.sources,
-            tables,
-            &plan.bindings,
-            0,
-            &mut scope_rows,
-            ctx,
-            plan.filter.as_ref(),
-            rows_examined,
-            sink,
-        )
-    }
+/// Rows a planned SELECT examines, without building its result: the join
+/// driver runs with a no-op sink and counts the innermost source's
+/// candidates without touching them. No projection, sort key, sort,
+/// DISTINCT, aggregation or LIMIT work is done. For a
+/// [`SelectPlan::cost_exact`] plan with every `?` bound, the count and any
+/// error are exactly those of [`exec_select_planned`].
+pub fn exec_select_cost(
+    catalog: &Catalog,
+    plan: &SelectPlan,
+    ctx: &EvalCtx,
+) -> Result<u64, SqlError> {
+    debug_assert!(plan.cost_exact, "cost-only execution of an inexact plan");
+    let tables = plan_tables(catalog, plan)?;
+    let mut join = Join {
+        plan,
+        tables: &tables,
+        ctx,
+        count_innermost: true,
+        rows_examined: 0,
+    };
+    join.drive(&mut |_| Ok(()))?;
+    Ok(join.rows_examined)
+}
+
+/// Execute a previously planned SELECT against the catalog.
+pub fn exec_select_planned<'c>(
+    catalog: &'c Catalog,
+    plan: &SelectPlan,
+    ctx: &EvalCtx,
+) -> Result<QueryResult, SqlError> {
+    let tables = plan_tables(catalog, plan)?;
+    let bindings = &plan.bindings;
+    let out_cols = &plan.out_cols;
+    let item_exprs = &plan.item_exprs;
+
+    // Stream scope rows (with WHERE applied) into a per-mode sink.
+    let mut join = Join {
+        plan,
+        tables: &tables,
+        ctx,
+        count_innermost: false,
+        rows_examined: 0,
+    };
 
     // Project (and aggregate).
     // Each output row carries its sort keys, computed pre-projection.
@@ -818,7 +922,7 @@ pub fn exec_select_planned<'c>(
             }
             Ok(())
         };
-        drive(plan, &tables, ctx, &mut rows_examined, &mut sink)?;
+        join.drive(&mut sink)?;
         // A global aggregate over zero rows still yields one group.
         if groups.is_empty() && global {
             groups.push((
@@ -873,7 +977,7 @@ pub fn exec_select_planned<'c>(
             flat.extend_from_slice(scope_rows);
             Ok(())
         };
-        drive(plan, &tables, ctx, &mut rows_examined, &mut sink)?;
+        join.drive(&mut sink)?;
 
         // Windowed fast path: with OFFSET/LIMIT, no DISTINCT, and sort keys
         // that don't read the projected row, sort the borrowed scope rows
@@ -917,7 +1021,7 @@ pub fn exec_select_planned<'c>(
                 rows,
                 rows_affected: 0,
                 last_insert_id: None,
-                rows_examined,
+                rows_examined: join.rows_examined,
             });
         }
 
@@ -964,7 +1068,7 @@ pub fn exec_select_planned<'c>(
         rows,
         rows_affected: 0,
         last_insert_id: None,
-        rows_examined,
+        rows_examined: join.rows_examined,
     })
 }
 
